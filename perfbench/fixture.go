@@ -30,6 +30,12 @@ func subSeed(seed uint64, use uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
+// trainSessions is how many same-seed sessions an untraced training run
+// makes: two, for the determinism check. A fixed count rather than the
+// run's time, so the number of steps a run proves, and with it fail_frac,
+// does not depend on how fast the machine is.
+const trainSessions = 2
+
 const (
 	seedData = iota + 1
 	seedModel

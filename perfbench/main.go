@@ -104,25 +104,17 @@ var perLayer = func() []metricDef {
 
 // scale sizes a workload: full for measurement, tiny for the self-test.
 type scale struct {
-	Train, Test int // SynthCIFAR split sizes
-	Epochs      int // epochs per training session
-	// Sessions is how many same-seed training sessions an untraced
-	// training run makes: two, for the determinism check. A fixed count,
-	// not the run's time, so the number of steps a run proves, and with
-	// it fail_frac, does not depend on how fast the machine is.
-	Sessions  int
-	SetupReps int // set-up repetitions; setup_s is their median
-	Pool      int // distinct inputs the inference workloads cycle through
-	// AgreeFloor is the lowest int8-vs-float class agreement infer-batch
-	// accepts, set below what runs at this size measure across seeds.
-	AgreeFloor float64
-	RefRate    float64 // serve-open's open-loop rate, in requests per second
+	Train, Test int     // SynthCIFAR split sizes
+	Epochs      int     // epochs per training session
+	SetupReps   int     // set-up repetitions; setup_s is their median
+	Pool        int     // distinct inputs the inference workloads cycle through
+	RefRate     float64 // serve-open's open-loop rate, in requests per second
 }
 
 var (
-	fullScale = scale{Train: 1024, Test: 512, Epochs: 6, Sessions: 2, SetupReps: 3, Pool: 512, AgreeFloor: 0.75,
+	fullScale = scale{Train: 1024, Test: 512, Epochs: 6, SetupReps: 3, Pool: 512,
 		RefRate: 500}
-	tinyScale = scale{Train: 512, Test: 128, Epochs: 2, Sessions: 2, SetupReps: 1, Pool: 128, AgreeFloor: 0.5,
+	tinyScale = scale{Train: 512, Test: 128, Epochs: 2, SetupReps: 1, Pool: 128,
 		RefRate: 100}
 )
 

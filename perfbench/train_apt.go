@@ -21,7 +21,7 @@ import (
 // train-apt: the paper's workload. Each session trains a fresh ResNet-20
 // with the APT controller (default configuration) through
 // repro.New/Session.Run for a fixed sample budget; an untraced run makes
-// sc.Sessions sessions of the same seed.
+// trainSessions sessions of the same seed.
 
 // aptSession returns a session over a fresh copy of the model, trained
 // from the run's seed.
@@ -94,7 +94,7 @@ func runTrainAPT(cfg runConfig) (*outcome, error) {
 		failed    int64
 	)
 	runtime.GC()
-	for m := fx.model; sessions < sc.Sessions; m = nil {
+	for m := fx.model; sessions < trainSessions; m = nil {
 		if m == nil {
 			if m, err = buildModel(cfg.Seed); err != nil {
 				return nil, err

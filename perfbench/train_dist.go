@@ -16,7 +16,7 @@ import (
 // train-dist: the concurrent parameter-server trainer with two workers,
 // APT on the server, bit-packed weight broadcast, an 8-bit gradient codec
 // and the strict barrier, which makes a run a function of its seed. An
-// untraced run makes sc.Sessions sessions of the same seed.
+// untraced run makes trainSessions sessions of the same seed.
 
 const (
 	distWorkers = 2
@@ -92,7 +92,7 @@ func runTrainDist(cfg runConfig) (*outcome, error) {
 		failed    int64
 	)
 	runtime.GC()
-	for sessions < sc.Sessions {
+	for sessions < trainSessions {
 		clock.reset()
 		dc := distConfig(fx, sc, cfg.Seed, build, dist.KBitCodec{Bits: 8})
 		dc.Train, dc.Test = clock.trainSet(fx.train), clock.testSet(fx.test)
