@@ -251,21 +251,15 @@ func (r *resStage) floatForward(x *tensor.Tensor) (*tensor.Tensor, error) {
 
 func (st *stage) convFloat(x *tensor.Tensor) (*tensor.Tensor, error) {
 	g := *st.geom
-	n := x.Dim(0)
 	oh, ow := g.OutHW()
 	outC := st.weight.Dim(0)
-	out := tensor.New(n, outC, oh, ow)
-	for i := 0; i < n; i++ {
-		img, err := tensor.FromSlice(
-			x.Data()[i*g.InC*g.InH*g.InW:(i+1)*g.InC*g.InH*g.InW], g.InC, g.InH, g.InW)
-		if err != nil {
-			return nil, err
-		}
-		res, err := tensor.ConvDirect(img, st.weight, g)
-		if err != nil {
-			return nil, err
-		}
-		copy(out.Data()[i*outC*oh*ow:(i+1)*outC*oh*ow], res.Data())
+	conv, err := tensor.NewConvF32(g, outC)
+	if err != nil {
+		return nil, err
+	}
+	out := tensor.New(x.Dim(0), outC, oh, ow)
+	if err := conv.Forward(out, x, st.weight.Data(), nil); err != nil {
+		return nil, err
 	}
 	st.addBiasAct(out, outC, oh*ow)
 	return out, nil

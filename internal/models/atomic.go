@@ -35,8 +35,9 @@ var trailerMagic = [4]byte{'A', 'P', 'T', 'C'}
 const trailerSize = 16
 
 // ErrCorruptCheckpoint is returned when a checkpoint's CRC trailer does
-// not match its payload — a torn or corrupt write.
-var ErrCorruptCheckpoint = errors.New("models: checkpoint CRC mismatch (torn or corrupt write)")
+// not match its payload — a torn or corrupt write — or when a decoded
+// record cannot describe its parameter (e.g. a truncated packed payload).
+var ErrCorruptCheckpoint = errors.New("models: corrupt checkpoint (CRC mismatch, torn write or invalid record)")
 
 // appendTrailer appends the version/CRC trailer for payload to buf.
 func appendTrailer(buf *bytes.Buffer, version uint64) {

@@ -3,6 +3,7 @@ package models
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -162,6 +163,9 @@ func restore(file *checkpointFile, m *Model) error {
 		switch {
 		case rec.Packed != nil:
 			v, err := rec.Packed.Unpack(rec.Shape...)
+			if errors.Is(err, quant.ErrCorrupt) {
+				return fmt.Errorf("models: load %s: %w: %w", rec.Name, ErrCorruptCheckpoint, err)
+			}
 			if err != nil {
 				return fmt.Errorf("models: load %s: %w", rec.Name, err)
 			}

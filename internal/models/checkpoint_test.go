@@ -2,6 +2,8 @@ package models
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -9,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/nn"
+	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
@@ -263,4 +266,56 @@ func f32Bytes(v []float32) []byte {
 		out = append(out, byte(u), byte(u>>8), byte(u>>16), byte(u>>24))
 	}
 	return out
+}
+
+// TestLoadAutoRejectsTruncatedPackedPayload is the regression test for a
+// well-formed gob checkpoint whose bit-packed payload is shorter than its
+// element count needs: LoadAuto must return ErrCorruptCheckpoint rather
+// than index past the payload.
+func TestLoadAutoRejectsTruncatedPackedPayload(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Save(&buf, trainedModel(t)); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	var file checkpointFile
+	if err := gob.NewDecoder(&buf).Decode(&file); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	cases := map[string]func(*quant.Packed){
+		"truncated payload": func(p *quant.Packed) { p.Data = p.Data[:len(p.Data)/2] },
+		"bits too wide":     func(p *quant.Packed) { p.Bits = 64 },
+		"bits zero":         func(p *quant.Packed) { p.Bits = 0 },
+	}
+	for name, damage := range cases {
+		t.Run(name, func(t *testing.T) {
+			var f checkpointFile
+			if err := gob.NewDecoder(bytes.NewReader(encodeFile(t, &file))).Decode(&f); err != nil {
+				t.Fatal(err)
+			}
+			damaged := false
+			for i := range f.Params {
+				if p := f.Params[i].Packed; p != nil && len(p.Data) > 1 {
+					damage(p)
+					damaged = true
+					break
+				}
+			}
+			if !damaged {
+				t.Fatal("checkpoint has no packed parameter to damage")
+			}
+			_, err := LoadAuto(bytes.NewReader(encodeFile(t, &f)), "", 0, Config{Classes: 4, InputSize: 12})
+			if !errors.Is(err, ErrCorruptCheckpoint) {
+				t.Fatalf("LoadAuto = %v, want ErrCorruptCheckpoint", err)
+			}
+		})
+	}
+}
+
+func encodeFile(t *testing.T, f *checkpointFile) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := gob.NewEncoder(&b).Encode(f); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
 }

@@ -79,11 +79,14 @@ func (a *arenaTensor) get(shape ...int) *tensor.Tensor {
 		n *= d
 	}
 	data := growF32(&a.buf, n)
-	t, err := tensor.FromSlice(data, shape...)
+	// FromSlice gets the arena's own copy of the shape (it copies it
+	// again), so the caller's variadic slice never escapes and a get with
+	// literal dimensions allocates nothing.
+	a.shape = append(a.shape[:0], shape...)
+	t, err := tensor.FromSlice(data, a.shape...)
 	if err != nil {
 		panic(err) // programmer error: shapes are computed, not user input
 	}
-	a.shape = append(a.shape[:0], shape...)
 	a.t = t
 	return t
 }

@@ -379,3 +379,83 @@ func TestCollectParamsAndTotalMACs(t *testing.T) {
 		t.Errorf("TotalMACs = %d, want %d", got, c1.MACs()+lin.MACs())
 	}
 }
+
+// downsampleBlock builds a residual block whose main branch (3×3 stride-2
+// conv, ReLU, 3×3 conv) and 1×1 stride-2 projection shortcut both read
+// the block input, as ResNet's stage-entry blocks do.
+func downsampleBlock(t *testing.T) (main, shortcut Layer) {
+	t.Helper()
+	rng := tensor.NewRNG(21)
+	conv := func(name string, g tensor.ConvGeom, outC int) Layer {
+		c, err := NewConv2D(Conv2DConfig{Name: name, In: g, OutC: outC, Bias: true, RNG: rng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	main = NewSequential("main",
+		conv("c1", tensor.ConvGeom{InC: 4, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 2, Pad: 1}, 8),
+		NewReLU("r"),
+		conv("c2", tensor.ConvGeom{InC: 8, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}, 8))
+	shortcut = conv("sc", tensor.ConvGeom{InC: 4, InH: 8, InW: 8, KH: 1, KW: 1, Stride: 2, Pad: 0}, 8)
+	return main, shortcut
+}
+
+// TestResidualShortcutSharesConvInput checks that a residual block whose
+// main branch and downsample shortcut both keep the same input tensor for
+// backward get exactly the gradients each branch computes on its own
+// private copy of that input, over consecutive steps, and that neither
+// branch writes the shared input.
+func TestResidualShortcutSharesConvInput(t *testing.T) {
+	main, short := downsampleBlock(t)
+	res := NewLinearResidual("res", main, short)
+	refMain, refShort := downsampleBlock(t)
+	rng := tensor.NewRNG(22)
+	for step := 0; step < 2; step++ {
+		x := tensor.New(5, 4, 8, 8)
+		x.FillNormal(rng, 0, 1)
+		keep := x.Clone()
+		dout := tensor.New(5, 8, 4, 4)
+		dout.FillNormal(rng, 0, 1)
+		if _, err := res.Forward(x, true); err != nil {
+			t.Fatal(err)
+		}
+		dx, err := res.Backward(dout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range x.Data() {
+			if v != keep.Data()[i] {
+				t.Fatalf("step %d: block input changed at %d", step, i)
+			}
+		}
+
+		branch := func(l Layer) *tensor.Tensor {
+			if _, err := l.Forward(keep.Clone(), true); err != nil {
+				t.Fatal(err)
+			}
+			d, err := l.Backward(dout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d.Clone()
+		}
+		want := branch(refMain)
+		if err := want.Add(branch(refShort)); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range dx.Data() {
+			if v != want.Data()[i] {
+				t.Fatalf("step %d: dx[%d] = %v, separate branches give %v", step, i, v, want.Data()[i])
+			}
+		}
+		got, ref := res.Params(), append(refMain.Params(), refShort.Params()...)
+		for j, p := range got {
+			for i, g := range p.Grad.Data() {
+				if g != ref[j].Grad.Data()[i] {
+					t.Fatalf("step %d: %s grad[%d] = %v, separate branch gives %v", step, p.Name, i, g, ref[j].Grad.Data()[i])
+				}
+			}
+		}
+	}
+}

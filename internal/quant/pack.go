@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -27,6 +28,10 @@ type Packed struct {
 	Count int
 	Data  []byte
 }
+
+// ErrCorrupt marks a packed record whose fields cannot describe a valid
+// payload (see Unpack).
+var ErrCorrupt = errors.New("quant: corrupt packed tensor")
 
 // Pack encodes t's elements as k-bit grid indices relative to st's grid.
 // The tensor must already be snapped onto the grid (indices are derived
@@ -71,14 +76,30 @@ func Pack(t *tensor.Tensor, st *State) (*Packed, error) {
 }
 
 // Unpack decodes the payload back into a float tensor with the given
-// shape. The element count must match.
+// shape. The element count must match. A packed record decoded from
+// outside the process is untrusted: a bitwidth outside [MinBits, MaxBits),
+// a negative dimension or a payload shorter than ⌈Count·Bits/8⌉ bytes
+// returns ErrCorrupt instead of indexing out of range.
 func (p *Packed) Unpack(shape ...int) (*tensor.Tensor, error) {
+	if p.Bits < MinBits || p.Bits >= MaxBits {
+		return nil, fmt.Errorf("%w: bitwidth %d not in [%d, %d)", ErrCorrupt, p.Bits, MinBits, MaxBits)
+	}
+	if p.Count < 0 {
+		return nil, fmt.Errorf("%w: element count %d", ErrCorrupt, p.Count)
+	}
 	n := 1
 	for _, d := range shape {
+		if d < 0 || (d > 0 && n > p.Count/d) {
+			return nil, fmt.Errorf("quant: unpack shape %v does not hold the %d packed elements", shape, p.Count)
+		}
 		n *= d
 	}
 	if n != p.Count {
 		return nil, fmt.Errorf("quant: unpack shape %v wants %d elements, packed %d", shape, n, p.Count)
+	}
+	if p.Eps != 0 && p.Count > len(p.Data)*8/p.Bits {
+		return nil, fmt.Errorf("%w: %d-byte payload holds fewer than %d %d-bit elements",
+			ErrCorrupt, len(p.Data), p.Count, p.Bits)
 	}
 	out := tensor.New(shape...)
 	d := out.Data()

@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -143,5 +144,39 @@ func TestBitStreamHelpers(t *testing.T) {
 	}
 	if got := readBits(buf, 8, 10); got != 0x3FF {
 		t.Errorf("readBits(8,10) = %x", got)
+	}
+}
+
+// TestUnpackRejectsCorruptRecords checks that a packed record whose
+// fields cannot describe its payload returns ErrCorrupt instead of
+// indexing out of range.
+func TestUnpackRejectsCorruptRecords(t *testing.T) {
+	x := tensor.New(5, 7)
+	x.FillNormal(tensor.NewRNG(4), 0, 1)
+	st, err := NewState(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Refresh(x)
+	st.SnapInPlace(x)
+	good, err := Pack(x, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, damage := range map[string]func(p *Packed){
+		"truncated": func(p *Packed) { p.Data = p.Data[:len(p.Data)-1] },
+		"empty":     func(p *Packed) { p.Data = nil },
+		"bits 0":    func(p *Packed) { p.Bits = 0 },
+		"bits 64":   func(p *Packed) { p.Bits = 64 },
+		"count -1":  func(p *Packed) { p.Count = -1 },
+	} {
+		p := *good
+		damage(&p)
+		if _, err := p.Unpack(5, 7); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Unpack = %v, want ErrCorrupt", name, err)
+		}
+	}
+	if _, err := good.Unpack(5, 7); err != nil {
+		t.Fatalf("intact record: %v", err)
 	}
 }

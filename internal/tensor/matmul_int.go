@@ -227,11 +227,12 @@ func dotU8I8(a []uint8, b []int8) int32 {
 
 // Im2ColBatchU8Into unrolls a quantized NCHW batch (raw uint8 payload,
 // geometry g, n samples) into a (C·KH·KW, N·OH·OW) column matrix, exactly
-// like the float Im2ColBatchInto. Out-of-bounds taps are filled with pad —
-// the activation grid's zero point, which represents exact float zero — so
-// the consuming GEMM needs no border special-casing: subtracting
-// Z_x·Σq_w over the full kernel is the exact zero-point correction at
-// every output position. dst is fully overwritten.
+// like the float test oracle Im2ColBatchInto. Out-of-bounds taps are
+// filled with pad — the activation grid's zero point, which represents
+// exact float zero — so the consuming GEMM needs no border
+// special-casing: subtracting Z_x·Σq_w over the full kernel is the exact
+// zero-point correction at every output position. dst is fully
+// overwritten.
 func Im2ColBatchU8Into(dst, src []uint8, n int, g ConvGeom, pad uint8) error {
 	if err := g.Validate(); err != nil {
 		return err

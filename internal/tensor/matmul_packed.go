@@ -153,10 +153,7 @@ func checkPackF32(op string, lenB, k, n int) error {
 
 func (p *PackedF32) reset(k, n int) {
 	p.k, p.n = k, n
-	p.pw = f32PanelCols
-	if n < f32NarrowPanelMaxN {
-		p.pw = f32PanelColsNarrow
-	}
+	p.pw = panelWidth(n)
 	p.panels = (n + p.pw - 1) / p.pw
 	need := p.panels * k * p.pw
 	if cap(p.data) < need {
@@ -241,28 +238,6 @@ func MatMulF32PackedInto(dst, a []float32, b *PackedF32, m, lda int) error {
 	return nil
 }
 
-// MatMulF32PackedTransAInto computes dst = aᵀ·b where a is a float32
-// (k, m) matrix with row stride lda ≥ m and b is a packed (k, n)
-// matrix — the weight-gradient orientation, consumed without
-// materializing the transpose. dst is row-major (m, n), fully
-// overwritten.
-func MatMulF32PackedTransAInto(dst, a []float32, b *PackedF32, m, lda int) error {
-	if m <= 0 {
-		return fmt.Errorf("%w: matmulF32PackedTA m %d must be positive", ErrShape, m)
-	}
-	if lda < m {
-		return fmt.Errorf("%w: matmulF32PackedTA row stride %d < m %d", ErrShape, lda, m)
-	}
-	if need := (b.k-1)*lda + m; len(a) < need {
-		return fmt.Errorf("%w: matmulF32PackedTA operand a has %d elements, want >= %d", ErrShape, len(a), need)
-	}
-	if len(dst) < m*b.n {
-		return fmt.Errorf("%w: matmulF32PackedTA destination has %d elements, want >= %d", ErrShape, len(dst), m*b.n)
-	}
-	matMulF32PackedDriver(dst, a, b, m, 1, lda)
-	return nil
-}
-
 // matMulF32PackedDriver tiles the packed GEMM over (row block × panel)
 // tasks on the worker pool; dst row stride is b.n. Each output element
 // is written by exactly one task with a fixed k order, so results are
@@ -294,16 +269,25 @@ func f32PackedTile(dst, a []float32, b *PackedF32, m, ars, aks, t int) {
 		f32PanelEdgeGo(dst[i0*b.n+j0:], a[i0*ars:], panel, mr, b.k, ars, aks, b.n, pw, nr)
 		return
 	}
+	f32PanelRows(dst[i0*b.n+j0:], a[i0*ars:], panel, mr, b.k, ars, aks, b.n, pw)
+}
+
+// f32PanelRows runs m operand rows against one full pw-wide packed panel
+// (k taps): groups of four rows through the register-blocked 4-row kernel
+// of that width, remainder rows through the matching one-row kernel. Row
+// r, tap q of the operand is a[r*ars + q*aks]; row r's pw outputs land at
+// dst[r*ldd:].
+func f32PanelRows(dst, a, panel []float32, m, k, ars, aks, ldd, pw int) {
 	kern4, kern1 := f32Panel4, f32Panel1
 	if pw == f32PanelColsNarrow {
 		kern4, kern1 = f32Panel4w8, f32Panel1w8
 	}
-	m4 := mr &^ 3
+	m4 := m &^ 3
 	if m4 > 0 {
-		kern4(dst[i0*b.n+j0:], a[i0*ars:], panel, m4, b.k, ars, aks, b.n)
+		kern4(dst, a, panel, m4, k, ars, aks, ldd)
 	}
-	for i := m4; i < mr; i++ {
-		kern1(dst[(i0+i)*b.n+j0:], a[(i0+i)*ars:], panel, b.k, aks)
+	for i := m4; i < m; i++ {
+		kern1(dst[i*ldd:], a[i*ars:], panel, k, aks)
 	}
 }
 
