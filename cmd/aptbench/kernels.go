@@ -33,14 +33,20 @@ type kernelBench struct {
 
 // seedBaseline is the same benchmark set measured at the seed commit's
 // per-sample im2col + naive-GEMM path (dc0a200, 1-core reference dev
-// machine, Xeon @ 2.10GHz). Kept in the report so any machine can read the
-// trajectory without digging through git history; refresh it only when the
-// reference machine changes.
+// machine, Xeon @ 2.10GHz), followed by the last measurements of rows
+// whose code path was deleted (same machine class, GOMAXPROCS=1): the
+// unpacked strided int GEMM (IntGEMMConvShaped) and the materialized
+// int8 conv lowering (ConvMaterializedU8, on ConvImplicitU8's workload).
+// Kept in the report so any machine can read the trajectory without
+// digging through git history; refresh it only when the reference
+// machine changes.
 var seedBaseline = []kernelBench{
 	{Name: "MatMul256", NsPerOp: 7280736, AllocsPerOp: 5, BytesPerOp: 262320},
 	{Name: "MatMulConvShaped", NsPerOp: 14922485, AllocsPerOp: 5, BytesPerOp: 4194480},
 	{Name: "ConvForward64", NsPerOp: 17851665, AllocsPerOp: 779, BytesPerOp: 15751984},
 	{Name: "ConvForwardBackward64", NsPerOp: 57427886, AllocsPerOp: 1876, BytesPerOp: 24815184},
+	{Name: "IntGEMMConvShaped", Iterations: 172, NsPerOp: 6893350.7558139535, MFlops: 5476.108403182902},
+	{Name: "ConvMaterializedU8", Iterations: 1621, NsPerOp: 740255.548426897, MFlops: 50994.19528866636},
 }
 
 // simdInfo records which kernel dispatch produced a report, so perf
@@ -171,11 +177,11 @@ func runKernelBenches(out io.Writer, jsonPath string) error {
 		}
 	})
 
-	// Integer GEMM rows: the serving engine's conv-shaped product
-	// (SmallCNN layer 3 at the deploy geometry) through the PR 3 strided
-	// kernel and through the packed-panel path the engine now runs —
-	// whether the packed row beats the float GEMMs above is exactly the
-	// "int8 is the fastest path" claim, so it belongs in the trajectory.
+	// Integer GEMM row: the serving engine's conv-shaped product
+	// (SmallCNN layer 3 at the deploy geometry) through the packed-panel
+	// path the engine runs — whether it beats the float GEMMs above is
+	// exactly the "int8 is the fastest path" claim, so it belongs in the
+	// trajectory.
 	intM, intK, intN := 4096, 144, 32
 	intFlops := 2 * float64(intM) * float64(intK) * float64(intN)
 	rng := tensor.NewRNG(7)
@@ -187,16 +193,6 @@ func runKernelBenches(out io.Writer, jsonPath string) error {
 	for i := range xInt {
 		xInt[i] = uint8(rng.Intn(256))
 	}
-	record("IntGEMMConvShaped", intFlops, func(b *testing.B) {
-		dst := make([]int32, intN*intM)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := tensor.MatMulI8U8Into(dst, wInt, xInt[:intK*intM], intN, intK, intM); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	// IntGEMMPacked4Row continues the IntGEMMPacked series under its
 	// multi-row name: since the 4×8 register-blocked kernels landed, the
 	// packed GEMM processes four activation rows per panel-quad load, so
@@ -219,14 +215,12 @@ func runKernelBenches(out io.Writer, jsonPath string) error {
 		}
 	})
 
-	// ConvImplicitU8 / ConvMaterializedU8: the whole int8 conv lowering —
-	// patch gather + packed GEMM — on the deploy-shaped stride-1 layer
-	// (16ch 16×16 3×3 pad 1, 16 samples → the exact 4096×144×32 product
-	// of IntGEMMPacked4Row, so the gap between either row and that one is
-	// the gather cost). The implicit row runs the band-staged gather that
-	// feeds kernels from cache; the materialized row packs the full patch
-	// matrix first, the way every conv ran before the implicit path. Both
-	// produce bit-identical accumulators; the ratio is the lowering win.
+	// ConvImplicitU8: the whole int8 conv lowering — band gather + packed
+	// GEMM — on the deploy-shaped stride-1 layer (16ch 16×16 3×3 pad 1,
+	// 16 samples → the exact 4096×144×32 product of IntGEMMPacked4Row,
+	// so the gap between the two rows is the gather cost). The retired
+	// materialized lowering's last number on this workload is frozen in
+	// seedBaseline as ConvMaterializedU8.
 	convG := tensor.ConvGeom{InC: 16, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	convN := 16
 	convOH, convOW := convG.OutHW()
@@ -250,20 +244,6 @@ func runKernelBenches(out io.Writer, jsonPath string) error {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := tensor.ConvU8I8ImplicitInto(acc, convSrc, convN, convPacked, plan, 3, work); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	record("ConvMaterializedU8", intFlops, func(b *testing.B) {
-		cols := make([]uint8, convPos*intK+3)
-		acc := make([]int32, convPos*intN)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := tensor.Im2ColBatchU8PatchesInto(cols[:convPos*intK], convSrc, convN, convG, 3); err != nil {
-				b.Fatal(err)
-			}
-			if err := tensor.MatMulU8I8PackedInto(acc, cols, convPacked, convPos, intK); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -45,7 +45,7 @@ type inferLoopShare struct {
 }
 
 // inferConvLowering records one conv layer's compile-time lowering
-// decision (implicit vs materialized im2col) and the rule that made it.
+// (infer.ConvLowering; every conv is implicit-im2col).
 type inferConvLowering struct {
 	Layer string `json:"layer"`
 	Mode  string `json:"mode"`
@@ -213,7 +213,7 @@ func Infer(s Scale, log io.Writer) (*Report, error) {
 	}
 
 	// Per-stage loop share of the batch-64 int8 forward, plus each conv
-	// layer's compile-time lowering decision.
+	// layer's compile-time lowering.
 	x64, err := tensor.FromSlice(x.Data()[:batch*3*s.InputSize*s.InputSize], batch, 3, s.InputSize, s.InputSize)
 	if err != nil {
 		return nil, err

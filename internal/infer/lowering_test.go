@@ -1,7 +1,6 @@
 package infer
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/models"
@@ -9,104 +8,21 @@ import (
 	"repro/internal/tensor"
 )
 
-// compileSmall compiles the shared SmallCNN fixture with the given
-// lowering override.
-func compileSmall(t *testing.T, force string) (*Engine, *tensor.Tensor) {
+// compileSmall compiles the shared SmallCNN fixture.
+func compileSmall(t *testing.T) (*Engine, *tensor.Tensor) {
 	t.Helper()
 	m, te, calib := trainedSmallCNN(t)
-	eng, err := Compile(m, Config{Calibration: calib, ForceConvLowering: force})
+	eng, err := Compile(m, Config{Calibration: calib})
 	if err != nil {
-		t.Fatalf("Compile(force=%q): %v", force, err)
+		t.Fatalf("Compile: %v", err)
 	}
 	x, _ := testBatch(t, te, 24)
 	return eng, x
 }
 
-// TestConvLoweringPerGeometry pins the compile-time lowering rule on the
-// CIFAR-shape backbone: every stride-1 conv goes implicit, every strided
-// conv stays materialized, and the decisions are reported in forward
-// order with their reasons. This is also the CI smoke assertion that the
-// implicit path cannot silently regress to materialized.
-func TestConvLoweringPerGeometry(t *testing.T) {
-	eng, _ := compileSmall(t, "")
-	lows := eng.ConvLowerings()
-	if len(lows) == 0 {
-		t.Fatal("no conv lowerings reported")
-	}
-	implicit, materialized := 0, 0
-	for _, l := range lows {
-		switch l.Mode {
-		case "implicit":
-			implicit++
-			if !strings.Contains(l.Why, "stride 1") {
-				t.Errorf("%s: implicit reason %q does not name the stride rule", l.Layer, l.Why)
-			}
-		case "materialized":
-			materialized++
-			if !strings.Contains(l.Why, "stride") {
-				t.Errorf("%s: materialized reason %q does not name the stride rule", l.Layer, l.Why)
-			}
-		default:
-			t.Errorf("%s: unknown lowering mode %q", l.Layer, l.Mode)
-		}
-		if l.Why == "" {
-			t.Errorf("%s: empty lowering reason", l.Layer)
-		}
-	}
-	// SmallCNN interleaves stride-1 and stride-2 conv blocks: both
-	// lowerings must be live or the per-geometry rule has regressed.
-	if implicit == 0 {
-		t.Fatal("CIFAR-shape model compiled zero layers onto the implicit path")
-	}
-	if materialized == 0 {
-		t.Fatal("CIFAR-shape model compiled zero layers onto the materialized path")
-	}
-}
-
-// TestForceConvLoweringBitIdentical checks the ablation knob and the
-// core tentpole contract in one move: the same trained model compiled
-// with default, all-implicit and all-materialized lowerings must produce
-// bit-identical logits on the same batch.
-func TestForceConvLoweringBitIdentical(t *testing.T) {
-	engDef, x := compileSmall(t, "")
-	engImp, _ := compileSmall(t, "implicit")
-	engMat, _ := compileSmall(t, "materialized")
-
-	for _, l := range engImp.ConvLowerings() {
-		if l.Mode != "implicit" {
-			t.Fatalf("force implicit: %s lowered %s", l.Layer, l.Mode)
-		}
-	}
-	for _, l := range engMat.ConvLowerings() {
-		if l.Mode != "materialized" {
-			t.Fatalf("force materialized: %s lowered %s", l.Layer, l.Mode)
-		}
-	}
-
-	ref, err := engDef.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, eng := range map[string]*Engine{"implicit": engImp, "materialized": engMat} {
-		got, err := eng.Forward(x)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for i, v := range got.Data() {
-			if v != ref.Data()[i] {
-				t.Fatalf("force %s: logit %d = %v, default %v", name, i, v, ref.Data()[i])
-			}
-		}
-	}
-
-	if _, err := Compile(smallModel, Config{Calibration: smallCalib, ForceConvLowering: "bogus"}); err == nil {
-		t.Error("bogus ForceConvLowering did not error")
-	}
-}
-
-// strideFirstModel builds a tiny net whose FIRST conv is strided, so the
-// default lowering materializes it and the engine fuses the input
-// quantize into its packer.
+// strideFirstModel builds a tiny net whose FIRST conv is strided: the
+// input quantize stages the batch once and the strided band gather reads
+// it from there.
 func strideFirstModel(t *testing.T) *models.Model {
 	t.Helper()
 	rng := tensor.NewRNG(17)
@@ -135,11 +51,11 @@ func strideFirstModel(t *testing.T) *models.Model {
 	return &models.Model{Name: "stridefirst", Net: net, InC: 3, InH: 12, InW: 12, Class: 4}
 }
 
-// TestFusedInputQuantizeBitIdentical: a strided first conv lowers
-// materialized and fuses the input quantize into its packer; the fused
-// engine must match, bit for bit, an engine whose first conv is forced
-// implicit (which stages the quantized input the classic way).
-func TestFusedInputQuantizeBitIdentical(t *testing.T) {
+// TestStrideFirstConvImplicitAcrossWorkers: every conv of a net with a
+// strided first layer compiles onto the implicit lowering, and the
+// logits are bit-identical under 1 and 3 workers (band tasks and gather
+// lanes split differently, the integer result must not).
+func TestStrideFirstConvImplicitAcrossWorkers(t *testing.T) {
 	m := strideFirstModel(t)
 	rng := tensor.NewRNG(99)
 	calib := tensor.New(8, 3, 12, 12)
@@ -147,48 +63,36 @@ func TestFusedInputQuantizeBitIdentical(t *testing.T) {
 	x := tensor.New(5, 3, 12, 12)
 	x.FillNormal(rng, 0, 1)
 
-	fused, err := Compile(m, Config{Calibration: calib})
+	eng, err := Compile(m, Config{Calibration: calib})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fused.fused == nil {
-		t.Fatal("strided first conv did not fuse the input quantize")
+	lows := eng.ConvLowerings()
+	if len(lows) != 2 {
+		t.Fatalf("got %d conv lowerings, want 2", len(lows))
 	}
-	if why := fused.ConvLowerings()[0].Why; !strings.Contains(why, "fused") {
-		t.Errorf("fused conv reason %q does not mention fusion", why)
-	}
-	staged, err := Compile(m, Config{Calibration: calib, ForceConvLowering: "implicit"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if staged.fused != nil {
-		t.Fatal("implicit first conv must not fuse the input quantize")
-	}
-
-	a, err := fused.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := staged.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range a.Data() {
-		if v != b.Data()[i] {
-			t.Fatalf("fused logit %d = %v, staged %v", i, v, b.Data()[i])
+	for _, l := range lows {
+		if l.Mode != "implicit" || l.Why == "" {
+			t.Errorf("%s: lowering %q (%q), want implicit with a reason", l.Layer, l.Mode, l.Why)
 		}
 	}
 
-	// The fused path must also hold across worker counts.
-	prev := tensor.SetMaxWorkers(3)
-	c, err := fused.Forward(x)
-	tensor.SetMaxWorkers(prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range a.Data() {
-		if v != c.Data()[i] {
-			t.Fatalf("fused logit %d = %v under 3 workers, serial %v", i, v, c.Data()[i])
+	var ref []float32
+	for _, workers := range []int{1, 3} {
+		prev := tensor.SetMaxWorkers(workers)
+		got, err := eng.Forward(x)
+		tensor.SetMaxWorkers(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = got.Data()
+			continue
+		}
+		for i, v := range got.Data() {
+			if v != ref[i] {
+				t.Fatalf("logit %d = %v under %d workers, serial %v", i, v, workers, ref[i])
+			}
 		}
 	}
 }
@@ -197,7 +101,7 @@ func TestFusedInputQuantizeBitIdentical(t *testing.T) {
 // bit and yields a sane stage split (stages sum to at most the total,
 // every stage non-negative, conv stages actually attributed).
 func TestForwardProfileMatchesForward(t *testing.T) {
-	eng, x := compileSmall(t, "")
+	eng, x := compileSmall(t)
 	ref, err := eng.Forward(x)
 	if err != nil {
 		t.Fatal(err)

@@ -43,6 +43,11 @@ type bnRecord struct {
 	Var  []float64
 }
 
+// maxCheckpointWidth bounds the width multiplier LoadAuto accepts from a
+// checkpoint header. The zoo is built at 0.25, 0.5 and 1; 4 leaves
+// headroom while keeping the largest backbone's allocation sane.
+const maxCheckpointWidth = 4
+
 type checkpointFile struct {
 	Model  string
 	Width  float64 // width multiplier; 0 in legacy checkpoints
@@ -106,6 +111,13 @@ func LoadAuto(r io.Reader, arch string, width float64, cfg Config) (*Model, erro
 			return nil, fmt.Errorf("models: checkpoint has no architecture header; pass one explicitly")
 		}
 		arch = file.Model
+	}
+	// The header width sizes every tensor Build allocates: a corrupt or
+	// hostile header (1e5, NaN, negative) must fail here, not as an
+	// unrecoverable out-of-memory inside Build.
+	if w := file.Width; w != 0 && !(w > 0 && w <= maxCheckpointWidth) {
+		return nil, fmt.Errorf("models: checkpoint header width %v outside (0, %v]: %w",
+			w, maxCheckpointWidth, ErrCorruptCheckpoint)
 	}
 	if width == 0 {
 		width = file.Width // 0 in legacy checkpoints: Config.fill defaults it to 1

@@ -319,3 +319,17 @@ func encodeFile(t *testing.T, f *checkpointFile) []byte {
 	}
 	return b.Bytes()
 }
+
+// TestLoadAutoRejectsHostileHeaderWidth is the regression test for a
+// checkpoint header whose width would make Build allocate without bound
+// (resnet20 at width 1e5 dies with an unrecoverable out-of-memory):
+// LoadAuto must reject it as ErrCorruptCheckpoint before building.
+func TestLoadAutoRejectsHostileHeaderWidth(t *testing.T) {
+	for _, w := range []float64{1e5, math.NaN(), -1, math.Inf(1), maxCheckpointWidth * 1.01} {
+		f := checkpointFile{Model: "resnet20", Width: w}
+		_, err := LoadAuto(bytes.NewReader(encodeFile(t, &f)), "", 0, Config{Classes: 4, InputSize: 12})
+		if !errors.Is(err, ErrCorruptCheckpoint) {
+			t.Errorf("header width %v: LoadAuto = %v, want ErrCorruptCheckpoint", w, err)
+		}
+	}
+}

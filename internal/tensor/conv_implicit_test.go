@@ -8,7 +8,7 @@ import (
 
 // naiveConvAccRef computes the position-major conv accumulator
 // ((N·OH·OW, outC) int32) by direct tap enumeration: the ground truth
-// both the materialized and the implicit drivers must match bit for bit.
+// the implicit conv must match bit for bit.
 // Out-of-bounds taps read the pad value (the activation zero point).
 func naiveConvAccRef(src []uint8, n int, g ConvGeom, pad uint8, wt []int8, outC int) []int32 {
 	oh, ow := g.OutHW()
@@ -61,15 +61,15 @@ func implicitWork(p *ConvPlanU8, tasks int) []uint8 {
 	return w
 }
 
-// TestConvImplicitMatchesMaterializedAndNaive sweeps the kernel-size ×
-// stride × pad × batch grid of the serving zoo and checks, per dispatch,
-// that the implicit driver, the materialized im2col + packed GEMM and
-// the naive tap enumeration produce the same accumulator bit for bit.
-func TestConvImplicitMatchesMaterializedAndNaive(t *testing.T) {
+// TestConvImplicitMatchesNaive sweeps the kernel-size × stride × pad ×
+// batch grid of the serving zoo (plus stride 3) and checks, per
+// dispatch, that ConvU8I8ImplicitInto and the naive tap enumeration
+// produce the same accumulator bit for bit.
+func TestConvImplicitMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	eachDispatch(t, func(t *testing.T) {
 		for _, k := range []int{1, 3, 5} {
-			for _, stride := range []int{1, 2} {
+			for _, stride := range []int{1, 2, 3} {
 				for _, pad := range []int{0, 1, 2} {
 					for _, n := range []int{1, 2, 5} {
 						g := ConvGeom{InC: 3, InH: 9, InW: 11, KH: k, KW: k, Stride: stride, Pad: pad}
@@ -89,8 +89,9 @@ func TestConvImplicitMatchesMaterializedAndNaive(t *testing.T) {
 
 // TestConvImplicitBandBoundaries exercises geometries whose output-row
 // count collides with the banding in awkward ways (single row, exact
-// band multiple, one spare row) plus a wide-image case where the gather
-// crosses the word-copy tail.
+// band multiple, one spare row), a wide-image case where the gather
+// crosses the word-copy tail, and the interior-range corner cases of
+// im2colXRange.
 func TestConvImplicitBandBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	geoms := []ConvGeom{
@@ -100,6 +101,19 @@ func TestConvImplicitBandBoundaries(t *testing.T) {
 		{InC: 4, InH: 16, InW: 16, KH: 5, KW: 5, Stride: 1, Pad: 2},
 		{InC: 3, InH: 7, InW: 7, KH: 7, KW: 7, Stride: 1, Pad: 0},
 		{InC: 16, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 2, Pad: 1},
+		// Kernel wider than InW+Pad: the interior column range is empty
+		// and every position is an edge (regression: the hoisted-range
+		// packer once sliced at a negative offset here).
+		{InC: 1, InH: 2, InW: 2, KH: 7, KW: 7, Stride: 1, Pad: 3},
+		{InC: 2, InH: 3, InW: 3, KH: 4, KW: 4, Stride: 2, Pad: 1},
+		// Negative interior numerator with Pad 0 / small Pad: Go's
+		// toward-zero division would round (InW−KW+Pad)/Stride up to 0
+		// and let the interior loop read past the source row (regression).
+		{InC: 1, InH: 2, InW: 2, KH: 1, KW: 3, Stride: 2, Pad: 0},
+		{InC: 1, InH: 4, InW: 3, KH: 2, KW: 6, Stride: 1, Pad: 2},
+		// Minimal 3×3/stride-1/pad-1 width: an empty interior
+		// (xlo=1, xhi=ow−2=0), the two border columns are the whole row.
+		{InC: 2, InH: 3, InW: 2, KH: 3, KW: 3, Stride: 1, Pad: 1},
 	}
 	eachDispatch(t, func(t *testing.T) {
 		for _, g := range geoms {
@@ -111,7 +125,7 @@ func TestConvImplicitBandBoundaries(t *testing.T) {
 	})
 }
 
-// TestConvImplicitFuzz drives random geometries through the three-way
+// TestConvImplicitFuzz drives random geometries through the naive
 // comparison, random zero points included.
 func TestConvImplicitFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -123,7 +137,7 @@ func TestConvImplicitFuzz(t *testing.T) {
 				InW:    1 + rng.Intn(14),
 				KH:     1 + rng.Intn(5),
 				KW:     1 + rng.Intn(5),
-				Stride: 1 + rng.Intn(2),
+				Stride: 1 + rng.Intn(3),
 				Pad:    rng.Intn(3),
 			}
 			if g.Validate() != nil {
@@ -134,11 +148,10 @@ func TestConvImplicitFuzz(t *testing.T) {
 	})
 }
 
-// checkConvImplicit runs one geometry through naive, materialized and
-// implicit paths and requires bit-identical accumulators.
+// checkConvImplicit runs one geometry through the naive reference and
+// ConvU8I8ImplicitInto and requires bit-identical accumulators.
 func checkConvImplicit(t *testing.T, rng *rand.Rand, g ConvGeom, n, outC int) {
 	t.Helper()
-	oh, ow := g.OutHW()
 	kdim := g.InC * g.KH * g.KW
 	inSz := g.InC * g.InH * g.InW
 	src := make([]uint8, n*inSz)
@@ -155,35 +168,93 @@ func checkConvImplicit(t *testing.T, rng *rand.Rand, g ConvGeom, n, outC int) {
 		t.Fatal(err)
 	}
 	want := naiveConvAccRef(src, n, g, pad, wt, outC)
-
-	ns := n * oh * ow
-	cols := make([]uint8, kdim*ns+3)
-	if err := Im2ColBatchU8PatchesInto(cols[:kdim*ns], src, n, g, pad); err != nil {
-		t.Fatal(err)
-	}
-	mat := make([]int32, ns*outC)
-	if err := MatMulU8I8PackedInto(mat, cols, packed, ns, kdim); err != nil {
-		t.Fatal(err)
-	}
-
-	plan, err := NewConvPlanU8(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	imp := make([]int32, ns*outC)
-	work := implicitWork(plan, n*plan.Bands())
-	if err := ConvU8I8ImplicitInto(imp, src, n, packed, plan, pad, work); err != nil {
-		t.Fatal(err)
-	}
-
+	imp := implicitAcc(t, g, src, n, packed, pad)
 	for i := range want {
-		if mat[i] != want[i] {
-			t.Fatalf("%+v n=%d outC=%d: materialized[%d] = %d, naive %d", g, n, outC, i, mat[i], want[i])
-		}
 		if imp[i] != want[i] {
 			t.Fatalf("%+v n=%d outC=%d: implicit[%d] = %d, naive %d", g, n, outC, i, imp[i], want[i])
 		}
 	}
+}
+
+// implicitAcc runs ConvU8I8ImplicitInto at the current dispatch and
+// worker bound and returns the accumulator.
+func implicitAcc(t *testing.T, g ConvGeom, src []uint8, n int, packed *PackedI8, pad uint8) []int32 {
+	t.Helper()
+	plan, err := NewConvPlanU8(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oh, ow := g.OutHW()
+	acc := make([]int32, n*oh*ow*packed.Cols())
+	if err := ConvU8I8ImplicitInto(acc, src, n, packed, plan, pad, implicitWork(plan, n*plan.Bands())); err != nil {
+		t.Fatal(err)
+	}
+	return acc
+}
+
+// fuzzRange maps a fuzz byte onto [lo, hi], keeping values already in
+// range unchanged so corpus entries read as the geometry they encode.
+func fuzzRange(v uint8, lo, hi int) int {
+	span := hi - lo + 1
+	return lo + ((int(v)-lo)%span+span)%span
+}
+
+// FuzzConvU8I8Implicit drives arbitrary geometries (InC 1–8, InH/InW
+// 1–20, KH/KW 1–5, stride 1–3, pad 0–2, batch 1–4, outC 1–16), zero
+// points and payloads through ConvU8I8ImplicitInto and requires the
+// naive accumulator bit for bit under the portable dispatch and, where
+// the host has one, the SIMD dispatch. The payload bytes fill the
+// activations and, read from the middle, the weights (−128 clamps to the
+// symmetric quantizer's −127). The seed corpus in
+// testdata/fuzz/FuzzConvU8I8Implicit holds one entry per conv geometry
+// of the 16×16 serving zoo (channels capped at 8), stride 3 included.
+func FuzzConvU8I8Implicit(f *testing.F) {
+	f.Fuzz(func(t *testing.T, inC, inH, inW, kh, kw, stride, pad, batch, outCB, zp uint8, payload []byte) {
+		g := ConvGeom{
+			InC: fuzzRange(inC, 1, 8), InH: fuzzRange(inH, 1, 20), InW: fuzzRange(inW, 1, 20),
+			KH: fuzzRange(kh, 1, 5), KW: fuzzRange(kw, 1, 5),
+			Stride: fuzzRange(stride, 1, 3), Pad: fuzzRange(pad, 0, 2),
+		}
+		if g.Validate() != nil {
+			return
+		}
+		n, outC := fuzzRange(batch, 1, 4), fuzzRange(outCB, 1, 16)
+		if len(payload) == 0 {
+			payload = []byte{0}
+		}
+		l := len(payload)
+		src := make([]uint8, n*g.InC*g.InH*g.InW)
+		for i := range src {
+			src[i] = payload[i%l] ^ uint8(i/l*37)
+		}
+		kdim := g.InC * g.KH * g.KW
+		wt := make([]int8, outC*kdim)
+		for i := range wt {
+			if wt[i] = int8(payload[(i+l/2)%l] ^ uint8(i/l*91)); wt[i] == -128 {
+				wt[i] = -127
+			}
+		}
+		packed, err := PackI8PanelsBT(wt, kdim, outC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := naiveConvAccRef(src, n, g, zp, wt, outC)
+		modes := []bool{false}
+		if SIMDFeatures() != "" {
+			modes = append(modes, true)
+		}
+		for _, on := range modes {
+			prev := SetSIMD(on)
+			got := implicitAcc(t, g, src, n, packed, zp)
+			SetSIMD(prev)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%+v n=%d outC=%d zp=%d simd=%v: acc[%d] = %d, naive %d",
+						g, n, outC, zp, on, i, got[i], want[i])
+				}
+			}
+		}
+	})
 }
 
 // TestGatherBand3MatchesUnstaged pins the staged 3×3 band gather (the

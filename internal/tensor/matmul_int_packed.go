@@ -65,35 +65,16 @@ func (p *PackedI8) Saturating() bool { return p.sat }
 // SizeBytes returns the packed storage footprint.
 func (p *PackedI8) SizeBytes() int { return len(p.data) }
 
-// PackI8PanelsB packs a row-major (k, n) int8 matrix into column panels.
-func PackI8PanelsB(b []int8, k, n int) (*PackedI8, error) {
-	if err := checkPackI8("packB", len(b), k, n); err != nil {
-		return nil, err
-	}
-	return packI8(k, n, func(kk, j int) int8 { return b[kk*n+j] }), nil
-}
-
 // PackI8PanelsBT packs the transpose of a row-major (n, k) int8 matrix —
 // the natural orientation of weight tensors, whose rows are output
 // channels — into column panels: PackI8PanelsBT(w, k, n) packs B = wᵀ.
 func PackI8PanelsBT(bt []int8, k, n int) (*PackedI8, error) {
-	if err := checkPackI8("packBT", len(bt), k, n); err != nil {
-		return nil, err
-	}
-	return packI8(k, n, func(kk, j int) int8 { return bt[j*k+kk] }), nil
-}
-
-func checkPackI8(op string, lenB, k, n int) error {
 	if k <= 0 || n <= 0 {
-		return fmt.Errorf("%w: %s dims (%d,%d) must be positive", ErrShape, op, k, n)
+		return nil, fmt.Errorf("%w: packBT dims (%d,%d) must be positive", ErrShape, k, n)
 	}
-	if lenB < k*n {
-		return fmt.Errorf("%w: %s operand has %d elements, want >= %d", ErrShape, op, lenB, k*n)
+	if len(bt) < k*n {
+		return nil, fmt.Errorf("%w: packBT operand has %d elements, want >= %d", ErrShape, len(bt), k*n)
 	}
-	return nil
-}
-
-func packI8(k, n int, at func(kk, j int) int8) *PackedI8 {
 	p := &PackedI8{
 		k: k, n: n,
 		kq:     (k + 3) / 4,
@@ -110,7 +91,7 @@ func packI8(k, n int, at func(kk, j int) int8) *PackedI8 {
 				}
 				for t := 0; t < 4; t++ {
 					if kk := 4*q + t; kk < k {
-						seg[4*j+t] = at(kk, col)
+						seg[4*j+t] = bt[col*k+kk]
 					}
 				}
 			}
@@ -129,9 +110,9 @@ func packI8(k, n int, at func(kk, j int) int8) *PackedI8 {
 			continue
 		}
 		for s := 0; 2*s < k; s++ {
-			sum := absI8(at(2*s, j))
+			sum := absI8(bt[j*k+2*s])
 			if 2*s+1 < k {
-				sum += absI8(at(2*s+1, j))
+				sum += absI8(bt[j*k+2*s+1])
 			}
 			if sum > 128 {
 				p.satp[pi] = true
@@ -140,7 +121,7 @@ func packI8(k, n int, at func(kk, j int) int8) *PackedI8 {
 			}
 		}
 	}
-	return p
+	return p, nil
 }
 
 func absI8(v int8) int {

@@ -27,40 +27,11 @@ func (t *Tensor) Sub(o *Tensor) error {
 	return nil
 }
 
-// Mul multiplies t by o element-wise, in place.
-func (t *Tensor) Mul(o *Tensor) error {
-	if !t.SameShape(o) {
-		return fmt.Errorf("%w: mul %v by %v", ErrShape, o.shape, t.shape)
-	}
-	for i, v := range o.data {
-		t.data[i] *= v
-	}
-	return nil
-}
-
 // Scale multiplies every element by s, in place.
 func (t *Tensor) Scale(s float32) {
 	for i := range t.data {
 		t.data[i] *= s
 	}
-}
-
-// AddScalar adds s to every element, in place.
-func (t *Tensor) AddScalar(s float32) {
-	for i := range t.data {
-		t.data[i] += s
-	}
-}
-
-// AxpyFrom computes t += alpha * o, in place.
-func (t *Tensor) AxpyFrom(alpha float32, o *Tensor) error {
-	if !t.SameShape(o) {
-		return fmt.Errorf("%w: axpy %v into %v", ErrShape, o.shape, t.shape)
-	}
-	for i, v := range o.data {
-		t.data[i] += alpha * v
-	}
-	return nil
 }
 
 // Apply replaces every element x with f(x), in place.
