@@ -33,7 +33,7 @@ func main() {
 	base := dist.Config{
 		Workers: 2, Build: build, Train: trainSet, Test: testSet,
 		BatchSize: 32, Epochs: 6, LR: 0.05, Momentum: 0.9,
-		Seed: 3, Concurrent: true,
+		Seed: 3,
 	}
 
 	codecs := []dist.GradCodec{

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/models"
@@ -51,29 +52,33 @@ func haltResume(t *testing.T, mk func() Config, haltAt int) *Stats {
 	return st
 }
 
-// TestKillResumeBitIdenticalSequential is the resume acceptance
-// criterion: killing a run at any round and resuming from its checkpoint
-// reproduces the uninterrupted run's traffic, accuracies and final
-// weights bit-exactly. Halts at rounds 1 and 3 land mid-epoch; round 2
-// lands on the epoch boundary (the loader's cursor sits at the end of
-// the epoch's order, not yet reshuffled).
-func TestKillResumeBitIdenticalSequential(t *testing.T) {
+// TestKillResumeBitIdentical is the resume acceptance criterion: killing
+// a run at any round and resuming from its checkpoint reproduces the
+// uninterrupted run's traffic, accuracies and final weights bit-exactly,
+// per-worker replica state (worker-local batch-norm history) included.
+// Halts at rounds 1 and 3 land mid-epoch; round 2 lands on the epoch
+// boundary (the loader's cursor sits at the end of the epoch's order, not
+// yet reshuffled).
+func TestKillResumeBitIdentical(t *testing.T) {
 	mk := func() Config { return testConfig(t, 2, 2) }
 	base, err := Run(mk())
 	if err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
 	}
 	for _, halt := range []int{1, 2, 3} {
-		resumed := haltResume(t, mk, halt)
-		assertIdenticalRuns(t, base, resumed, fmt.Sprintf("sequential halt=%d", halt))
+		name := fmt.Sprintf("halt=%d", halt)
+		t.Run(name, func(t *testing.T) {
+			resumed := haltResume(t, mk, halt)
+			assertIdenticalRuns(t, base, resumed, name)
+		})
 	}
 }
 
-// TestKillResumeBitIdenticalSequentialAPT repeats the round trip with
-// every piece of optional trajectory state live: the APT controller's
-// gradient history, the ternary codec's sampling RNG, quantized grids
-// with fp32 masters, and the bitwidth-aware broadcast.
-func TestKillResumeBitIdenticalSequentialAPT(t *testing.T) {
+// TestKillResumeBitIdenticalAPT repeats the round trip with every piece
+// of optional trajectory state live: the APT controller's gradient
+// history, the ternary codec's sampling RNG, quantized grids with fp32
+// masters, and the bitwidth-aware broadcast.
+func TestKillResumeBitIdenticalAPT(t *testing.T) {
 	mk := func() Config {
 		cfg := testConfig(t, 2, 2)
 		cfg.Codec = NewTernaryCodec(99)
@@ -86,45 +91,11 @@ func TestKillResumeBitIdenticalSequentialAPT(t *testing.T) {
 		t.Fatalf("uninterrupted run: %v", err)
 	}
 	for _, halt := range []int{1, 3} {
-		resumed := haltResume(t, mk, halt)
-		assertIdenticalRuns(t, base, resumed, fmt.Sprintf("sequential APT halt=%d", halt))
+		t.Run(fmt.Sprintf("halt=%d", halt), func(t *testing.T) {
+			resumed := haltResume(t, mk, halt)
+			assertIdenticalRuns(t, base, resumed, fmt.Sprintf("APT halt=%d", halt))
+		})
 	}
-}
-
-// TestKillResumeBitIdenticalConcurrent runs the round trip through the
-// concurrent engine's strict barrier, which additionally checkpoints and
-// restores per-worker replica state (worker-local batch-norm history).
-func TestKillResumeBitIdenticalConcurrent(t *testing.T) {
-	mk := func() Config {
-		cfg := testConfig(t, 2, 2)
-		cfg.Concurrent = true
-		return cfg
-	}
-	base, err := Run(mk())
-	if err != nil {
-		t.Fatalf("uninterrupted run: %v", err)
-	}
-	for _, halt := range []int{1, 2, 3} {
-		resumed := haltResume(t, mk, halt)
-		assertIdenticalRuns(t, base, resumed, fmt.Sprintf("concurrent halt=%d", halt))
-	}
-}
-
-func TestKillResumeBitIdenticalConcurrentAPT(t *testing.T) {
-	mk := func() Config {
-		cfg := testConfig(t, 2, 2)
-		cfg.Concurrent = true
-		cfg.Codec = NewTernaryCodec(99)
-		cfg.APT = aptConfig()
-		cfg.QuantBroadcast = true
-		return cfg
-	}
-	base, err := Run(mk())
-	if err != nil {
-		t.Fatalf("uninterrupted run: %v", err)
-	}
-	resumed := haltResume(t, mk, 3)
-	assertIdenticalRuns(t, base, resumed, "concurrent APT halt=3")
 }
 
 // TestKillResumeAuxiliaryRNG: a caller-registered RNG stream (data
@@ -160,46 +131,42 @@ func TestKillResumeAuxiliaryRNG(t *testing.T) {
 }
 
 // TestCheckpointPublishCadence pins the snapshot and publish schedule:
-// with cadence 1 on the 2-round single-epoch run, both engines write one
+// with cadence 1 on the 2-round single-epoch run, the engine writes one
 // checkpoint per round, one at the epoch boundary and one at the end,
-// and publish one serving checkpoint per round plus the final one.
+// and publishes one serving checkpoint per round plus the final one.
 func TestCheckpointPublishCadence(t *testing.T) {
-	for _, concurrent := range []bool{false, true} {
-		dir := t.TempDir()
-		ckpt := filepath.Join(dir, "run.state")
-		pub := filepath.Join(dir, "model.apt")
-		cfg := testConfig(t, 2, 1)
-		cfg.Concurrent = concurrent
-		cfg.CheckpointPath = ckpt
-		cfg.CheckpointEvery = 1
-		cfg.PublishPath = pub
-		cfg.PublishEvery = 1
-		st, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("concurrent=%v: %v", concurrent, err)
-		}
-		if st.Checkpoints != 4 {
-			t.Errorf("concurrent=%v: Checkpoints = %d, want 4 (2 rounds + boundary + final)", concurrent, st.Checkpoints)
-		}
-		if st.Publishes != 3 {
-			t.Errorf("concurrent=%v: Publishes = %d, want 3 (2 rounds + final)", concurrent, st.Publishes)
-		}
-		v, ok, err := models.CheckpointVersion(pub)
-		if err != nil || !ok || v != st.Publishes {
-			t.Errorf("concurrent=%v: published version = (%d, %v, %v), want (%d, true, nil)",
-				concurrent, v, ok, err, st.Publishes)
-		}
-		if _, err := models.LoadAutoFile(pub, "", 0, models.Config{Classes: 3, InputSize: 8, Seed: 1}); err != nil {
-			t.Errorf("concurrent=%v: published checkpoint does not load: %v", concurrent, err)
-		}
-		ts, err := models.LoadTrainState(ckpt)
-		if err != nil {
-			t.Fatalf("concurrent=%v: LoadTrainState: %v", concurrent, err)
-		}
-		if ts.Epoch != cfg.Epochs || ts.Rounds != st.Rounds {
-			t.Errorf("concurrent=%v: final checkpoint at epoch %d round %d, want epoch %d round %d",
-				concurrent, ts.Epoch, ts.Rounds, cfg.Epochs, st.Rounds)
-		}
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "run.state")
+	pub := filepath.Join(dir, "model.apt")
+	cfg := testConfig(t, 2, 1)
+	cfg.CheckpointPath = ckpt
+	cfg.CheckpointEvery = 1
+	cfg.PublishPath = pub
+	cfg.PublishEvery = 1
+	st, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if st.Checkpoints != 4 {
+		t.Errorf("Checkpoints = %d, want 4 (2 rounds + boundary + final)", st.Checkpoints)
+	}
+	if st.Publishes != 3 {
+		t.Errorf("Publishes = %d, want 3 (2 rounds + final)", st.Publishes)
+	}
+	v, ok, err := models.CheckpointVersion(pub)
+	if err != nil || !ok || v != st.Publishes {
+		t.Errorf("published version = (%d, %v, %v), want (%d, true, nil)", v, ok, err, st.Publishes)
+	}
+	if _, err := models.LoadAutoFile(pub, "", 0, models.Config{Classes: 3, InputSize: 8, Seed: 1}); err != nil {
+		t.Errorf("published checkpoint does not load: %v", err)
+	}
+	ts, err := models.LoadTrainState(ckpt)
+	if err != nil {
+		t.Fatalf("LoadTrainState: %v", err)
+	}
+	if ts.Epoch != cfg.Epochs || ts.Rounds != st.Rounds {
+		t.Errorf("final checkpoint at epoch %d round %d, want epoch %d round %d",
+			ts.Epoch, ts.Rounds, cfg.Epochs, st.Rounds)
 	}
 }
 
@@ -238,6 +205,14 @@ func TestResumeValidation(t *testing.T) {
 	bad.Resume = ts
 	if _, err := Run(bad); err == nil {
 		t.Error("RNG stream count mismatch did not error")
+	}
+
+	// The checkpoint carries two workers' batch-norm history; a run with
+	// a different pool cannot place it.
+	bad = testConfig(t, 3, 2)
+	bad.Resume = ts
+	if _, err := Run(bad); err == nil || !strings.Contains(err.Error(), "worker replicas") {
+		t.Errorf("worker count mismatch: err = %v, want a worker-replica count error", err)
 	}
 
 	raw, err := os.ReadFile(path)

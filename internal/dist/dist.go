@@ -6,18 +6,14 @@
 // GradCodec (fp32, k-bit affine, or ternary), and the server averages the
 // decoded gradients, applies the SGD step, and broadcasts weights back.
 //
-// Two engines share one server core (so they execute the same
-// floating-point operations in the same order):
-//
-//   - the sequential reference (Config.Concurrent = false) runs the
-//     workers one after another on a single shared replica — weights are
-//     identical across replicas between rounds, so the computed gradients
-//     match a true multi-process run exactly;
-//   - the concurrent engine (Config.Concurrent = true) runs one goroutine
-//     per worker, each owning a private replica kept bit-identical to the
-//     server through the nn.SyncParams broadcast path. At Workers = 1 its
-//     trajectory is bit-identical to the sequential reference; at any
-//     worker count it is deterministic for a fixed seed.
+// One goroutine per worker runs against a private model replica kept
+// bit-identical to the server through the nn.SyncParams broadcast path,
+// and the main goroutine acts as the server. Every floating-point
+// reduction (codec encoding, gradient averaging, the optimizer step) runs
+// on the server in worker order, so under the strict barrier any worker
+// count is deterministic for a fixed seed, and a Workers = 1 run retraces
+// a plain sequential loop over the same server core bit for bit (the
+// test-only reference in reference_test.go pins this).
 //
 // When the server runs an APT controller (Config.APT), the downlink can be
 // bitwidth-aware (Config.QuantBroadcast): each layer's weights ship
@@ -25,13 +21,13 @@
 // broadcast traffic shrinks as APT keeps layers at low precision — the
 // scenario the paper motivates for resource-constrained deployments.
 //
-// The concurrent engine additionally survives worker failure: with
-// Config.HeartbeatTimeout set, workers that stall past the timeout are
-// expelled from the gradient barrier (the round's average re-weights over
-// the live contributors), optionally respawned from the server's replica
-// state, and late gradients fold in under a bounded-staleness policy or
-// are dropped and counted (Config.MinShards, Config.MaxStaleness,
-// Config.MaxRespawns). Runs checkpoint their complete state periodically
+// The engine survives worker failure: with Config.HeartbeatTimeout set,
+// workers that stall past the timeout are expelled from the gradient
+// barrier (the round's average re-weights over the live contributors),
+// optionally respawned from the server's replica state, and late
+// gradients fold in under a bounded-staleness policy or are dropped and
+// counted (Config.MinShards, Config.MaxStaleness, Config.MaxRespawns).
+// Runs checkpoint their complete state periodically
 // (Config.CheckpointPath) and resume from it (Config.Resume) — in
 // strict-barrier mode bit-identically — and publish crash-consistent
 // serving checkpoints (Config.PublishPath) a serving process can watch.
@@ -49,14 +45,13 @@ import (
 	"repro/internal/optim"
 	"repro/internal/quant"
 	"repro/internal/tensor"
-	"repro/internal/train"
 )
 
 // GradCodec compresses one worker→server gradient push. Encode replaces
 // g's contents with the values the server decodes (simulating the lossy
 // wire format) and returns the number of bytes the push costs. Codecs run
 // in the server's ingest path, in worker order, so stateful codecs (the
-// ternary sampler) stay deterministic under the concurrent engine.
+// ternary sampler) stay deterministic however the workers are scheduled.
 type GradCodec interface {
 	Name() string
 	Encode(g *tensor.Tensor) int64
@@ -159,8 +154,7 @@ type Config struct {
 	Codec     GradCodec
 	Seed      uint64
 
-	// Concurrent selects the goroutine-per-worker engine; false runs the
-	// sequential reference implementation on one shared replica.
+	// Deprecated: ignored; the goroutine-per-worker engine is the only engine.
 	Concurrent bool
 
 	// APT, when non-nil, runs a precision controller on the server: it
@@ -174,13 +168,13 @@ type Config struct {
 	// grid so server and replicas stay bit-identical.
 	QuantBroadcast bool
 
-	// --- Elastic membership (concurrent engine only) ---
+	// --- Elastic membership ---
 
 	// HeartbeatTimeout enables elastic membership: a worker that holds a
 	// shard longer than this is declared dead, expelled from the gradient
 	// barrier, and (budget permitting) respawned. Zero keeps the strict
 	// barrier — the server waits for every dispatched shard, and healthy
-	// runs stay bit-identical to the sequential reference.
+	// runs are seed-deterministic.
 	HeartbeatTimeout time.Duration
 	// MinShards lets the server step with K-of-N gradients: once the
 	// heartbeat grace period expires, a round with at least MinShards
@@ -245,9 +239,9 @@ type Stats struct {
 	// MeanBits is the final parameter-weighted mean bitwidth of the
 	// server model (32 without APT).
 	MeanBits float64
-	// Final is the final state of the evaluation model (the shared
-	// replica for the sequential engine, worker 0's replica for the
-	// concurrent one), for checkpointing and equivalence tests.
+	// Final is the final state of the evaluation model (worker 0's
+	// replica under the strict barrier, a parked live replica in elastic
+	// mode), for checkpointing and equivalence tests.
 	Final *nn.NetState
 
 	// --- Elastic membership accounting ---
@@ -294,9 +288,10 @@ func (s *Stats) FinalAcc() float64 {
 }
 
 // server owns the canonical model replica, the optimizer, the codec and
-// (optionally) the APT precision controller. Both engines drive rounds
-// through it, which is what makes the Workers=1 trajectories bit-identical
-// across engines: the per-round arithmetic and its order live here once.
+// (optionally) the APT precision controller. The engine drives rounds
+// through it, and so does the test-only sequential reference, which is
+// what makes their Workers=1 trajectories bit-identical: the per-round
+// arithmetic and its order live here once.
 type server struct {
 	cfg    Config
 	m      *models.Model
@@ -463,7 +458,7 @@ func (s *server) restoreRNGs(states []uint64) error {
 // auxiliary RNG cursors, and the run's cumulative accounting. epoch is
 // the epoch in progress (epoch+1 at an epoch boundary — the loader has
 // already drawn the next epoch's order by then); replicas carries
-// per-worker state from the concurrent engine, nil otherwise.
+// per-worker state, one entry per worker slot.
 func (s *server) captureTrainState(epoch int, loader *data.Loader, replicas []*nn.NetState) *models.TrainState {
 	st := &models.TrainState{
 		Arch:      s.m.Name,
@@ -540,6 +535,9 @@ func (s *server) restore(st *models.TrainState, loader *data.Loader) (int, error
 	if st.Net == nil || st.Opt == nil {
 		return 0, fmt.Errorf("dist: resume: incomplete checkpoint")
 	}
+	if len(st.Replicas) != s.cfg.Workers {
+		return 0, fmt.Errorf("dist: resume: checkpoint has %d worker replicas, run has %d", len(st.Replicas), s.cfg.Workers)
+	}
 	if err := nn.RestoreState(s.m.Layers(), st.Net); err != nil {
 		return 0, fmt.Errorf("dist: resume: %w", err)
 	}
@@ -593,9 +591,6 @@ func (c *Config) validate() error {
 	if c.QuantBroadcast && c.APT == nil {
 		return fmt.Errorf("dist: QuantBroadcast requires an APT controller config")
 	}
-	if !c.Concurrent && (c.HeartbeatTimeout != 0 || c.MinShards != 0 || c.MaxStaleness != 0 || c.MaxRespawns != 0 || c.Fault != nil) {
-		return fmt.Errorf("dist: elastic membership and fault injection require the concurrent engine")
-	}
 	if c.HeartbeatTimeout == 0 && (c.MinShards != 0 || c.MaxStaleness != 0 || c.MaxRespawns != 0) {
 		return fmt.Errorf("dist: MinShards, MaxStaleness and MaxRespawns require HeartbeatTimeout > 0")
 	}
@@ -617,148 +612,10 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// Run executes the data-parallel training loop with the engine selected by
-// cfg.Concurrent.
+// Run executes the data-parallel training loop.
 func Run(cfg Config) (*Stats, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Concurrent {
-		return runConcurrent(cfg)
-	}
-	return runSequential(cfg)
-}
-
-// runSequential is the reference implementation: the workers run one after
-// another against a single shared model replica. Weights are identical
-// across replicas between rounds, so the computed gradients match a true
-// multi-process run exactly; batch-norm running statistics accumulate over
-// every shard (the one observable difference from the concurrent engine at
-// Workers > 1, where they are worker-local).
-func runSequential(cfg Config) (*Stats, error) {
-	srv, err := newServer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	rng := tensor.NewRNG(cfg.Seed ^ 0xD157)
-	loader, err := data.NewLoader(cfg.Train, cfg.BatchSize, rng.Split())
-	if err != nil {
-		return nil, fmt.Errorf("dist: %w", err)
-	}
-	startEpoch := 0
-	if cfg.Resume != nil {
-		if startEpoch, err = srv.restore(cfg.Resume, loader); err != nil {
-			return nil, err
-		}
-	}
-	loss := nn.SoftmaxCrossEntropy{}
-
-	// Reusable staging tensors for the codec, allocated once.
-	stage := make([]*tensor.Tensor, len(srv.params))
-	for i, p := range srv.params {
-		stage[i] = tensor.New(p.Value.Shape()...)
-	}
-
-	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
-		// The inner loop runs rounds until the loader signals end of epoch.
-		// The signal can arrive mid-round (batch count not divisible by the
-		// worker count); the partial round still trains, and the exhausted
-		// flag ends the epoch afterwards.
-		for exhausted := false; !exhausted; {
-			// One round: up to cfg.Workers shards, one per worker.
-			srv.beginRound()
-			shards := 0
-			for w := 0; w < cfg.Workers; w++ {
-				batch, labels, ok := loader.Next()
-				if !ok {
-					exhausted = true
-					break
-				}
-				logits, err := srv.m.Net.Forward(batch, true)
-				if err != nil {
-					return nil, fmt.Errorf("dist: epoch %d forward: %w", epoch, err)
-				}
-				_, dlogits, err := loss.Forward(logits, labels)
-				if err != nil {
-					return nil, fmt.Errorf("dist: epoch %d loss: %w", epoch, err)
-				}
-				if _, err := srv.m.Net.Backward(dlogits); err != nil {
-					return nil, fmt.Errorf("dist: epoch %d backward: %w", epoch, err)
-				}
-				for i, p := range srv.params {
-					if err := stage[i].CopyFrom(p.Grad); err != nil {
-						return nil, fmt.Errorf("dist: %s: %w", p.Name, err)
-					}
-					p.ZeroGrad()
-				}
-				if err := srv.ingest(stage); err != nil {
-					return nil, err
-				}
-				shards++
-			}
-			if shards == 0 {
-				break // epoch exhausted
-			}
-			if err := srv.finishRound(shards); err != nil {
-				return nil, err
-			}
-			if exhausted {
-				// The loader already reshuffled for the next epoch;
-				// a checkpoint here could not name this position.
-				// The epoch-boundary checkpoint below covers it.
-				continue
-			}
-			if srv.shouldCheckpoint() {
-				if err := srv.checkpoint(epoch, loader, nil); err != nil {
-					return nil, err
-				}
-			}
-			if srv.timeToPublish() {
-				if err := srv.publish(srv.m); err != nil {
-					return nil, err
-				}
-			}
-			if cfg.HaltAfterRounds > 0 && srv.st.Rounds >= cfg.HaltAfterRounds {
-				if cfg.CheckpointPath != "" {
-					if err := srv.checkpoint(epoch, loader, nil); err != nil {
-						return nil, err
-					}
-				}
-				srv.st.Halted = true
-				srv.finalize(srv.m)
-				return srv.st, nil
-			}
-		}
-		if err := srv.finishEpoch(); err != nil {
-			return nil, err
-		}
-		acc, err := train.Evaluate(srv.m, cfg.Test, cfg.BatchSize)
-		if err != nil {
-			return nil, fmt.Errorf("dist: epoch %d eval: %w", epoch, err)
-		}
-		srv.st.Accs = append(srv.st.Accs, acc)
-		haltNow := cfg.HaltAfterRounds > 0 && srv.st.Rounds >= cfg.HaltAfterRounds
-		if cfg.CheckpointPath != "" && (cfg.CheckpointEvery > 0 || haltNow) {
-			if err := srv.checkpoint(epoch+1, loader, nil); err != nil {
-				return nil, err
-			}
-		}
-		if haltNow {
-			srv.st.Halted = true
-			srv.finalize(srv.m)
-			return srv.st, nil
-		}
-	}
-	if cfg.CheckpointPath != "" {
-		if err := srv.checkpoint(cfg.Epochs, loader, nil); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.PublishPath != "" {
-		if err := srv.publish(srv.m); err != nil {
-			return nil, err
-		}
-	}
-	srv.finalize(srv.m)
-	return srv.st, nil
+	return runEngine(cfg)
 }

@@ -12,8 +12,8 @@ import (
 	"repro/internal/train"
 )
 
-// The concurrent engine: one goroutine per worker, each owning a full
-// model replica, with the main goroutine acting as the parameter server.
+// The engine: one goroutine per worker, each owning a full model replica,
+// with the main goroutine acting as the parameter server.
 //
 // Synchronization model (kept deliberately narrow so the whole engine is
 // provably race-free and deterministic):
@@ -34,9 +34,10 @@ import (
 //
 //   - Strict barrier (HeartbeatTimeout == 0): every round waits for every
 //     dispatched shard and ingests them in slot order. Together with the
-//     shared server core in dist.go this makes a Workers=1 run
-//     bit-identical to the sequential reference, and any worker count
-//     seed-deterministic. A worker error aborts the run.
+//     shared server core in dist.go this makes any worker count
+//     seed-deterministic, and a Workers=1 run bit-identical to a plain
+//     sequential loop over the same core (reference_test.go). A worker
+//     error aborts the run.
 //   - Elastic (HeartbeatTimeout > 0): a worker that holds a shard past
 //     the timeout is declared dead and expelled from the barrier; the
 //     round's average re-weights over the gradients that did arrive.
@@ -174,7 +175,7 @@ type slot struct {
 	needSync bool // must pull fresh weights before its next job
 }
 
-// engine is the concurrent parameter-server run: the shared server core,
+// engine is the parameter-server run: the shared server core,
 // the membership slots, and the round bookkeeping.
 type engine struct {
 	cfg      Config
@@ -191,8 +192,8 @@ type engine struct {
 	pending int // current-round shards still outstanding
 }
 
-// runConcurrent executes the goroutine-per-worker engine.
-func runConcurrent(cfg Config) (*Stats, error) {
+// runEngine executes the goroutine-per-worker engine.
+func runEngine(cfg Config) (*Stats, error) {
 	srv, err := newServer(cfg)
 	if err != nil {
 		return nil, err
@@ -234,10 +235,10 @@ func runConcurrent(cfg Config) (*Stats, error) {
 		e.slots[w] = &slot{r: r, alive: true}
 	}
 	// On resume, replicas recover their worker-local batch-norm history
-	// where the checkpoint captured it (a nil entry means that worker was
-	// mid-shard at checkpoint time; its replacement keeps the server
-	// clone).
-	if cfg.Resume != nil && len(cfg.Resume.Replicas) == len(e.slots) {
+	// where the checkpoint captured it (srv.restore checked there is one
+	// entry per slot; a nil entry means that worker was mid-shard at
+	// checkpoint time, and its replacement keeps the server clone).
+	if cfg.Resume != nil {
 		for w, rs := range cfg.Resume.Replicas {
 			if rs == nil {
 				continue
@@ -280,8 +281,9 @@ func (e *engine) spawn(id int, snap *nn.NetState) (*replica, error) {
 func (e *engine) run(startEpoch int) (*Stats, error) {
 	cfg, srv := e.cfg, e.srv
 	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
-		// As in the sequential engine, end-of-epoch can arrive mid-round;
-		// the partial round still trains and the flag ends the epoch.
+		// End of epoch can arrive mid-round (batch count not divisible by
+		// the worker count); the partial round still trains and the flag
+		// ends the epoch afterwards.
 		for exhausted := false; !exhausted; {
 			stepped, ex, err := e.round()
 			if err != nil {
@@ -335,9 +337,8 @@ func (e *engine) run(startEpoch int) (*Stats, error) {
 		if srv.ctrl != nil {
 			// The epoch-boundary precision adjustment requantized the
 			// server's weights; realign the replicas before evaluation
-			// and the next epoch. Uncharged, mirroring the sequential
-			// reference where the adjustment mutates the shared replica
-			// in place.
+			// and the next epoch. Uncharged: the adjustment is a
+			// server-side requantization, not a training round.
 			if err := e.distribute(); err != nil {
 				return nil, err
 			}
@@ -468,8 +469,8 @@ func (e *engine) dispatch(s *slot, jb job) error {
 }
 
 // collectStrict is the strict barrier: wait for every dispatched shard,
-// then ingest in slot order — the exact arithmetic (and codec ordering)
-// of the sequential reference. A worker error aborts the run.
+// then ingest in slot order, so the arithmetic (and codec ordering) does
+// not depend on goroutine scheduling. A worker error aborts the run.
 func (e *engine) collectStrict(dispatched int) error {
 	var firstErr error
 	for e.pending > 0 {

@@ -39,7 +39,6 @@ func waitGoroutines(t *testing.T, before int) {
 func TestHangRespawnCompletes(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := testConfig(t, 2, 2)
-	cfg.Concurrent = true
 	cfg.HeartbeatTimeout = testHeartbeat
 	cfg.MaxRespawns = 2
 	cfg.Fault = NewFaultPlan(Fault{Worker: 1, Round: 1, Kind: FaultHang, Delay: time.Hour})
@@ -71,7 +70,6 @@ func TestHangRespawnCompletes(t *testing.T) {
 func TestHangPoolShrinks(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := testConfig(t, 2, 1)
-	cfg.Concurrent = true
 	cfg.HeartbeatTimeout = testHeartbeat
 	cfg.Fault = NewFaultPlan(Fault{Worker: 1, Round: 1, Kind: FaultHang, Delay: time.Hour})
 	st, err := Run(cfg)
@@ -100,7 +98,6 @@ func TestHangPoolShrinks(t *testing.T) {
 // shard and the worker stays in the pool (resynced before its next job).
 func TestPanicToleratedElastic(t *testing.T) {
 	cfg := testConfig(t, 2, 1)
-	cfg.Concurrent = true
 	cfg.HeartbeatTimeout = time.Hour // never reaps: the panic returns promptly
 	cfg.Fault = NewFaultPlan(Fault{Worker: 1, Round: 1, Kind: FaultPanic})
 	st, err := Run(cfg)
@@ -125,7 +122,6 @@ func TestPanicToleratedElastic(t *testing.T) {
 // worker panic surfaces as a run error, recovered, never a crash.
 func TestPanicAbortsStrict(t *testing.T) {
 	cfg := testConfig(t, 2, 1)
-	cfg.Concurrent = true
 	cfg.Fault = NewFaultPlan(Fault{Worker: 0, Round: 1, Kind: FaultPanic})
 	_, err := Run(cfg)
 	if err == nil || !strings.Contains(err.Error(), "panic") {
@@ -139,7 +135,6 @@ func TestPanicAbortsStrict(t *testing.T) {
 func TestAllWorkersLost(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := testConfig(t, 2, 1)
-	cfg.Concurrent = true
 	cfg.HeartbeatTimeout = 100 * time.Millisecond
 	cfg.Fault = NewFaultPlan(
 		Fault{Worker: 0, Round: 1, Kind: FaultHang, Delay: time.Hour},
@@ -168,7 +163,6 @@ func TestAllWorkersLost(t *testing.T) {
 func TestQuorumStepsPastStraggler(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := testConfig(t, 3, 1)
-	cfg.Concurrent = true
 	cfg.HeartbeatTimeout = testHeartbeat
 	cfg.MinShards = 2
 	cfg.MaxStaleness = 8
@@ -226,7 +220,6 @@ func parkedReplica(t *testing.T, cfg Config, id int) *replica {
 // the replica for resync without ingesting.
 func TestStaleAccounting(t *testing.T) {
 	cfg := testConfig(t, 2, 1)
-	cfg.Concurrent = true
 	cfg.HeartbeatTimeout = time.Hour
 	cfg.MaxStaleness = 2
 	if err := cfg.validate(); err != nil {
@@ -313,20 +306,12 @@ func TestStaleAccounting(t *testing.T) {
 
 func TestElasticValidation(t *testing.T) {
 	cfg := testConfig(t, 2, 1)
-	cfg.HeartbeatTimeout = time.Second // sequential engine
-	if _, err := Run(cfg); err == nil {
-		t.Error("elastic knobs on the sequential engine did not error")
-	}
-
-	cfg = testConfig(t, 2, 1)
-	cfg.Concurrent = true
 	cfg.MinShards = 1 // no heartbeat timeout
 	if _, err := Run(cfg); err == nil {
 		t.Error("MinShards without HeartbeatTimeout did not error")
 	}
 
 	cfg = testConfig(t, 2, 1)
-	cfg.Concurrent = true
 	cfg.HeartbeatTimeout = time.Second
 	cfg.MinShards = 3 // more than Workers
 	if _, err := Run(cfg); err == nil {

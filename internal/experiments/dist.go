@@ -50,7 +50,7 @@ func Dist(s Scale, log io.Writer) (*Report, error) {
 		cfg := dist.Config{
 			Workers: workers, Build: build, Train: tr, Test: te,
 			BatchSize: s.Batch, Epochs: s.Epochs, LR: s.LR, Momentum: 0.9,
-			Codec: sc.codec(), Seed: s.Seed, Concurrent: true,
+			Codec: sc.codec(), Seed: s.Seed,
 		}
 		if sc.apt {
 			aptCfg := core.DefaultConfig()
@@ -137,7 +137,7 @@ func distFaultSweep(s Scale, build func() (*models.Model, error), tr, te data.Da
 		cfg := dist.Config{
 			Workers: workers, Build: build, Train: tr, Test: te,
 			BatchSize: s.Batch, Epochs: s.Epochs, LR: s.LR, Momentum: 0.9,
-			Codec: dist.FP32Codec{}, Seed: s.Seed, Concurrent: true,
+			Codec: dist.FP32Codec{}, Seed: s.Seed,
 			HeartbeatTimeout: heartbeat, MaxRespawns: nf,
 			Fault: dist.NewFaultPlan(faults...),
 		}

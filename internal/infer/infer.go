@@ -68,11 +68,6 @@ type Config struct {
 	// Calibration provides representative inputs (N, C, H, W); the more
 	// representative, the tighter the activation grids.
 	Calibration *tensor.Tensor
-	// PerTensorWeights falls back to one symmetric scale per weight
-	// tensor instead of the default per-output-channel scales. It exists
-	// as an ablation knob (per-channel is strictly tighter); see
-	// TestPerChannelScalesTightenAgreement.
-	PerTensorWeights bool
 }
 
 // Compile folds, calibrates and lowers a float model. The model is not
@@ -96,7 +91,7 @@ func Compile(m *models.Model, cfg Config) (*Engine, error) {
 	nextID := func() int { id := nbuf; nbuf++; return id }
 	nextID() // slot 0: the quantized input
 	in := gridFor(inMin, inMax)
-	layers, _, err := lowerChain(stages, in, cfg, nextID)
+	layers, _, err := lowerChain(stages, in, nextID)
 	if err != nil {
 		return nil, fmt.Errorf("infer: %w", err)
 	}

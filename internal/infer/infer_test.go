@@ -215,41 +215,6 @@ func TestEngineMatchesFloatAcrossBackbones(t *testing.T) {
 	}
 }
 
-// Per-output-channel weight scales must track the float model at least as
-// tightly as one per-tensor scale — that is the point of carrying a scale
-// per filter.
-func TestPerChannelScalesTightenAgreement(t *testing.T) {
-	m, te, calib := trainedSmallCNN(t)
-	perChan, err := Compile(m, Config{Calibration: calib})
-	if err != nil {
-		t.Fatalf("Compile per-channel: %v", err)
-	}
-	perTensor, err := Compile(m, Config{Calibration: calib, PerTensorWeights: true})
-	if err != nil {
-		t.Fatalf("Compile per-tensor: %v", err)
-	}
-	x, _ := testBatch(t, te, 96)
-	want, err := m.Net.Forward(x, false)
-	if err != nil {
-		t.Fatalf("float forward: %v", err)
-	}
-	meanErr := func(e *Engine) float64 {
-		got, err := e.Forward(x)
-		if err != nil {
-			t.Fatalf("Forward: %v", err)
-		}
-		var sum float64
-		for i := range got.Data() {
-			sum += math.Abs(float64(got.Data()[i] - want.Data()[i]))
-		}
-		return sum / float64(got.Len())
-	}
-	ec, et := meanErr(perChan), meanErr(perTensor)
-	if ec >= et {
-		t.Errorf("per-channel mean logit error %v not below per-tensor %v", ec, et)
-	}
-}
-
 // Batched inference must be bit-identical to running each sample alone:
 // the micro-batching server depends on batch size never changing results.
 func TestBatchedForwardMatchesPerSample(t *testing.T) {

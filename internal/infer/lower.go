@@ -12,11 +12,11 @@ import (
 // threading the activation grid from one layer to the next (every grid is
 // fixed at compile time, so the forward path never touches float scale
 // arithmetic). nextID allocates scratch buffer slots.
-func lowerChain(stages []*stage, in grid, cfg Config, nextID func() int) ([]qlayer, grid, error) {
+func lowerChain(stages []*stage, in grid, nextID func() int) ([]qlayer, grid, error) {
 	layers := make([]qlayer, 0, len(stages))
 	g := in
 	for _, st := range stages {
-		ql, out, err := st.lower(g, cfg, nextID)
+		ql, out, err := st.lower(g, nextID)
 		if err != nil {
 			return nil, grid{}, fmt.Errorf("lower %s: %w", st.label, err)
 		}
@@ -28,14 +28,14 @@ func lowerChain(stages []*stage, in grid, cfg Config, nextID func() int) ([]qlay
 
 // lower converts one calibrated stage into its integer form given the
 // input activation grid; it returns the lowered layer and its output grid.
-func (st *stage) lower(in grid, cfg Config, nextID func() int) (qlayer, grid, error) {
+func (st *stage) lower(in grid, nextID func() int) (qlayer, grid, error) {
 	switch {
 	case st.pass != nil:
 		return lowerPass(st, in, nextID)
 	case st.res != nil:
-		return lowerResidual(st, in, cfg, nextID)
+		return lowerResidual(st, in, nextID)
 	default:
-		return lowerAffine(st, in, cfg, nextID)
+		return lowerAffine(st, in, nextID)
 	}
 }
 
@@ -66,27 +66,16 @@ func lowerPass(st *stage, in grid, nextID func() int) (qlayer, grid, error) {
 }
 
 // lowerAffine lowers a folded conv or linear stage: symmetric int8
-// weights (per-output-channel scales unless cfg.PerTensorWeights), int32
+// weights with per-output-channel scales, int32
 // bias and zero-point corrections folded into one per-channel constant,
 // and the requantization multiplier M = S_x·S_w[oc]/S_y lowered to fixed
 // point.
-func lowerAffine(st *stage, in grid, cfg Config, nextID func() int) (qlayer, grid, error) {
+func lowerAffine(st *stage, in grid, nextID func() int) (qlayer, grid, error) {
 	out := st.outGrid()
 	outC := st.weight.Dim(0)
 	per := st.weight.Len() / outC
 
-	var weights []int8
-	var wscale []float32
-	if cfg.PerTensorWeights {
-		var s float32
-		weights, s = quantizeWeightsSym(st.weight)
-		wscale = make([]float32, outC)
-		for c := range wscale {
-			wscale[c] = s
-		}
-	} else {
-		weights, wscale = quantizeWeightsPerChannel(st.weight)
-	}
+	weights, wscale := quantizeWeightsPerChannel(st.weight)
 
 	// Lower the weights to prepacked column panels once, here: the weight
 	// tensor's (outC, per) layout is exactly the transposed-B orientation
@@ -140,15 +129,15 @@ func lowerAffine(st *stage, in grid, cfg Config, nextID func() int) (qlayer, gri
 // lowerResidual lowers a residual block: both branch chains recursively,
 // then the joining add as a pair of fixed-point rescales onto the block's
 // output grid.
-func lowerResidual(st *stage, in grid, cfg Config, nextID func() int) (qlayer, grid, error) {
-	main, mainOut, err := lowerChain(st.res.main, in, cfg, nextID)
+func lowerResidual(st *stage, in grid, nextID func() int) (qlayer, grid, error) {
+	main, mainOut, err := lowerChain(st.res.main, in, nextID)
 	if err != nil {
 		return nil, grid{}, err
 	}
 	r := &qresidual{label: st.label, buf: nextID(), main: main, relu: st.res.relu}
 	shortOut := in
 	if st.res.shortcut != nil {
-		r.shortcut, shortOut, err = lowerChain(st.res.shortcut, in, cfg, nextID)
+		r.shortcut, shortOut, err = lowerChain(st.res.shortcut, in, nextID)
 		if err != nil {
 			return nil, grid{}, err
 		}
@@ -161,18 +150,6 @@ func lowerResidual(st *stage, in grid, cfg Config, nextID func() int) (qlayer, g
 	r.m0Main, r.rshMain = lowerMultiplier(float64(mainOut.scale) / float64(out.scale))
 	r.m0Short, r.rshShort = lowerMultiplier(float64(shortOut.scale) / float64(out.scale))
 	return r, out, nil
-}
-
-// quantizeWeightsSym maps weights onto symmetric int8 with one per-tensor
-// scale: w ≈ scale·q with q ∈ [−127, 127] and zero point 0 (a zero zero
-// point removes the cross terms from the integer GEMM).
-func quantizeWeightsSym(w *tensor.Tensor) ([]int8, float32) {
-	min, max := w.MinMax()
-	absMax := float32(math.Max(math.Abs(float64(min)), math.Abs(float64(max))))
-	scale := symScale(absMax)
-	out := make([]int8, w.Len())
-	quantizeRow(out, w.Data(), scale)
-	return out, scale
 }
 
 // quantizeWeightsPerChannel maps weights onto symmetric int8 with one

@@ -8,6 +8,18 @@ import (
 	"repro/internal/tensor"
 )
 
+// quantizeWeightsSym maps weights onto symmetric int8 with one per-tensor
+// scale: w ≈ scale·q with q ∈ [−127, 127] and zero point 0. It is the
+// oracle the per-channel quantizer must beat.
+func quantizeWeightsSym(w *tensor.Tensor) ([]int8, float32) {
+	min, max := w.MinMax()
+	absMax := float32(math.Max(math.Abs(float64(min)), math.Abs(float64(max))))
+	scale := symScale(absMax)
+	out := make([]int8, w.Len())
+	quantizeRow(out, w.Data(), scale)
+	return out, scale
+}
+
 func TestQuantizeWeightsSymProperties(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	w := tensor.New(256)
@@ -188,7 +200,7 @@ func TestIntegerLinearMatchesFloatProperty(t *testing.T) {
 		xmin, xmax := x.MinMax()
 		in := gridFor(xmin, xmax)
 		id := 0
-		ql, outG, err := st.lower(in, Config{}, func() int { i := id; id++; return i })
+		ql, outG, err := st.lower(in, func() int { i := id; id++; return i })
 		if err != nil {
 			return false
 		}

@@ -56,7 +56,8 @@ type TrainState struct {
 	// alone cannot reproduce them). Entry w belongs to worker slot w; a
 	// nil entry (worker was mid-shard when the snapshot was taken, elastic
 	// mode only) makes resume fall back to a clone of Net for that slot.
-	// Nil for single-process and sequential-engine runs.
+	// Resume rejects a snapshot whose entry count differs from the run's
+	// worker count.
 	Replicas []*nn.NetState
 	// Opt is the optimizer snapshot (momentum buffers, hyperparameters).
 	Opt *optim.SGDState
