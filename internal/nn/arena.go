@@ -12,6 +12,10 @@ import "repro/internal/tensor"
 //     sequential trainer consumes each activation within the step, so
 //     steady-state training performs near-zero allocations in the
 //     conv/GEMM path.
+//   - A layer may read its own returned tensor again in its backward:
+//     ReLU and Residual take the pass-through region from their forward
+//     output instead of caching a mask. No layer writes into its input,
+//     so that output is intact until the layer's next Forward.
 //   - Callers that need a value to survive longer (checkpointing,
 //     histories, cross-step comparisons) must Clone it.
 //   - Arenas grow to the largest batch seen and are re-sliced for smaller
@@ -23,14 +27,6 @@ import "repro/internal/tensor"
 func growF32(buf *[]float32, n int) []float32 {
 	if cap(*buf) < n {
 		*buf = make([]float32, n)
-	}
-	return (*buf)[:n]
-}
-
-// growBool is growF32 for boolean masks.
-func growBool(buf *[]bool, n int) []bool {
-	if cap(*buf) < n {
-		*buf = make([]bool, n)
 	}
 	return (*buf)[:n]
 }
@@ -89,6 +85,15 @@ func (a *arenaTensor) get(shape ...int) *tensor.Tensor {
 	}
 	a.t = t
 	return t
+}
+
+// like is get with the shape of t. It compares shapes in place rather
+// than copying t's, so a steady-state call allocates nothing.
+func (a *arenaTensor) like(t *tensor.Tensor) *tensor.Tensor {
+	if a.t != nil && a.t.SameShape(t) {
+		return a.t
+	}
+	return a.get(t.Shape()...)
 }
 
 func sameShape(a, b []int) bool {

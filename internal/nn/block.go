@@ -64,12 +64,11 @@ type Residual struct {
 	main     Layer
 	shortcut Layer // nil = identity
 	withReLU bool
-	mask     []bool
+	out      *tensor.Tensor // forward output, read by backward; nil = no pending forward
 
 	outA  arenaTensor
 	doutA arenaTensor
 	dxA   arenaTensor
-	maskA []bool
 }
 
 // NewResidual builds a residual block with an output ReLU.
@@ -128,7 +127,8 @@ func (r *Residual) MACs() int64 {
 	return total
 }
 
-// Forward implements Layer.
+// Forward implements Layer. The join is one fused pass over the batch:
+// out = main + shortcut, rectified when the block has an output ReLU.
 func (r *Residual) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	my, err := r.main.Forward(x, train)
 	if err != nil {
@@ -141,50 +141,34 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error)
 			return nil, fmt.Errorf("%s: %w", r.name, err)
 		}
 	}
-	out := r.outA.get(my.Shape()...)
-	if err := out.CopyFrom(my); err != nil {
-		return nil, fmt.Errorf("%s: %w", r.name, err)
+	if !my.SameShape(sy) {
+		return nil, fmt.Errorf("%s: %w: add %v to %v", r.name, tensor.ErrShape, sy.Shape(), my.Shape())
 	}
-	if err := out.Add(sy); err != nil {
-		return nil, fmt.Errorf("%s: %w", r.name, err)
-	}
+	out := r.outA.like(my)
+	join := addForward
 	if r.withReLU {
-		d := out.Data()
-		r.mask = growBool(&r.maskA, len(d))
-		for i, v := range d {
-			if v > 0 {
-				r.mask[i] = true
-			} else {
-				r.mask[i] = false
-				d[i] = 0
-			}
-		}
+		join = addReLUForward
 	}
+	perSample(batchOf(my), join, out.Data(), my.Data(), sy.Data(), 0)
+	r.out = out
 	return out, nil
 }
 
-// Backward implements Layer.
+// Backward implements Layer. The output ReLU's pass-through region is read
+// back from the forward output (arena rule 1 keeps it valid).
 func (r *Residual) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
+	if r.out == nil {
+		return nil, fmt.Errorf("%s: backward before forward", r.name)
+	}
+	if dout.Len() != r.out.Len() {
+		return nil, fmt.Errorf("%s: %w: dout %v", r.name, tensor.ErrShape, dout.Shape())
+	}
 	d := dout
 	if r.withReLU {
-		if r.mask == nil {
-			return nil, fmt.Errorf("%s: backward before forward", r.name)
-		}
-		if dout.Len() != len(r.mask) {
-			return nil, fmt.Errorf("%s: %w: dout %v", r.name, tensor.ErrShape, dout.Shape())
-		}
-		d = r.doutA.get(dout.Shape()...)
-		dd := d.Data()
-		src := dout.Data()
-		for i, v := range src {
-			if r.mask[i] {
-				dd[i] = v
-			} else {
-				dd[i] = 0
-			}
-		}
-		r.mask = nil
+		d = r.doutA.like(dout)
+		perSample(batchOf(dout), reluBackward, d.Data(), dout.Data(), r.out.Data(), 0)
 	}
+	r.out = nil
 	dmain, err := r.main.Backward(d)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", r.name, err)
@@ -196,12 +180,10 @@ func (r *Residual) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
 			return nil, fmt.Errorf("%s: %w", r.name, err)
 		}
 	}
-	dx := r.dxA.get(dmain.Shape()...)
-	if err := dx.CopyFrom(dmain); err != nil {
-		return nil, fmt.Errorf("%s: %w", r.name, err)
+	if !dmain.SameShape(dshort) {
+		return nil, fmt.Errorf("%s: %w: add %v to %v", r.name, tensor.ErrShape, dshort.Shape(), dmain.Shape())
 	}
-	if err := dx.Add(dshort); err != nil {
-		return nil, fmt.Errorf("%s: %w", r.name, err)
-	}
+	dx := r.dxA.like(dmain)
+	perSample(batchOf(dmain), addForward, dx.Data(), dmain.Data(), dshort.Data(), 0)
 	return dx, nil
 }

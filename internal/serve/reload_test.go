@@ -58,6 +58,34 @@ func TestReloadExhaustsRetries(t *testing.T) {
 	}
 }
 
+// TestReloadRecoversPanic: a reload function that panics (a decoder
+// tripping on a corrupt checkpoint) must not take the server down. The
+// panic is an attempt error, retried like any other, and the old engine
+// keeps serving.
+func TestReloadRecoversPanic(t *testing.T) {
+	calls := 0
+	s, _ := newTestServer(t, Config{
+		Engine: &stubClassifier{},
+		InC:    1, InH: 2, InW: 2,
+		Reload: func() (Classifier, error) {
+			calls++
+			panic("corrupt checkpoint")
+		},
+		ReloadRetries: 1,
+		ReloadBackoff: time.Millisecond,
+	})
+	_, err := s.Reload()
+	if err == nil || !strings.Contains(err.Error(), "serve: reload panicked: corrupt checkpoint") {
+		t.Errorf("err = %v, want the recovered panic", err)
+	}
+	if calls != 2 {
+		t.Errorf("reload function called %d times, want 2", calls)
+	}
+	if v := s.engine.Load().version; v != 1 {
+		t.Errorf("model version = %d, want the original engine (1)", v)
+	}
+}
+
 // TestReloadSwapErrorNotRetried: a geometry mismatch is permanent — a
 // wrong model never fixes itself, so Reload must fail on the first
 // attempt rather than burn the retry budget.

@@ -55,6 +55,8 @@ func (s *Server) Swap(c Classifier) (uint64, error) {
 // watcher actually hits is a checkpoint caught mid-replace, which heals
 // as soon as the publisher's rename lands — while Swap errors (geometry
 // mismatch) are reported immediately: a wrong model never fixes itself.
+// A panicking reload function (a decoder tripping on a corrupt file) is
+// an attempt error like any other, so the old engine keeps serving.
 func (s *Server) Reload() (uint64, error) {
 	if s.cfg.Reload == nil {
 		return 0, fmt.Errorf("serve: no reload function configured")
@@ -68,7 +70,7 @@ func (s *Server) Reload() (uint64, error) {
 		if attempt > 0 {
 			time.Sleep(backoff + time.Duration(rand.Int63n(int64(backoff/2)+1)))
 		}
-		c, err := s.cfg.Reload()
+		c, err := s.reloadOnce()
 		if err != nil {
 			lastErr = err
 			continue
@@ -76,4 +78,14 @@ func (s *Server) Reload() (uint64, error) {
 		return s.Swap(c)
 	}
 	return 0, fmt.Errorf("serve: reload (%d attempts): %w", s.cfg.ReloadRetries+1, lastErr)
+}
+
+// reloadOnce calls Config.Reload, turning a panic into an error.
+func (s *Server) reloadOnce() (c Classifier, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			c, err = nil, fmt.Errorf("serve: reload panicked: %v", p)
+		}
+	}()
+	return s.cfg.Reload()
 }
